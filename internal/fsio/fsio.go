@@ -20,6 +20,7 @@ package fsio
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -28,8 +29,13 @@ import (
 // WriteAtomic writes path atomically and durably: write streams the content
 // into a unique temp file in path's directory, which is fsync'd, renamed
 // over path, and sealed with a directory fsync. On any error the temp file
-// is removed and path is untouched.
+// is removed and path is untouched. A path that exists and is not a regular
+// file (a device such as /dev/null, a FIFO, a directory) is refused before
+// anything is written: renaming over it would replace the node itself.
 func WriteAtomic(path string, write func(f *os.File) error) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("fsio: %s is not a regular file (%v); refusing to replace it", path, fi.Mode().Type())
+	}
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -104,3 +104,49 @@ func TestWriteAtomicConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// assertRefused checks that WriteAtomic refuses path, never calls write,
+// leaves path's node as it was and leaves no temp file behind.
+func assertRefused(t *testing.T, path string) {
+	t.Helper()
+	before, err := os.Lstat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := false
+	err = WriteAtomic(path, func(f *os.File) error {
+		called = true
+		_, err := f.WriteString("checkpoint")
+		return err
+	})
+	if err == nil {
+		t.Fatalf("WriteAtomic over %v succeeded, want an error", before.Mode().Type())
+	}
+	if called {
+		t.Error("write callback ran for a refused target")
+	}
+	after, err := os.Lstat(path)
+	if err != nil {
+		t.Fatalf("target gone after refused write: %v", err)
+	}
+	if after.Mode() != before.Mode() || !os.SameFile(before, after) {
+		t.Errorf("target replaced: mode %v -> %v", before.Mode(), after.Mode())
+	}
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("temp file %s left behind", e.Name())
+		}
+	}
+}
+
+func TestWriteAtomicRefusesDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	assertRefused(t, path)
+}

@@ -10,8 +10,10 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -184,10 +186,14 @@ func (r *Runner) Model(ctx context.Context, dataset, model string) (kge.Trainabl
 	if r.Cfg.CacheDir != "" {
 		cachePath = filepath.Join(r.Cfg.CacheDir, fmt.Sprintf("%s-%s-s%d-d%d-e%d-seed%d.kge",
 			dataset, model, r.Cfg.Scale, r.Cfg.Dim, r.Cfg.Epochs, r.Cfg.Seed))
-		if m, err := kge.LoadFile(cachePath); err == nil {
+		m, err := kge.LoadFile(cachePath)
+		switch {
+		case err == nil:
 			r.logf("model %-22s loaded from cache", key)
 			r.models[key] = m
 			return m, nil
+		case !errors.Is(err, fs.ErrNotExist):
+			r.logf("model %-22s cache entry %s unreadable (%v); retraining over it", key, cachePath, err)
 		}
 	}
 

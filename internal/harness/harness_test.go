@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/kge"
 )
 
 // testRunner builds a Runner at miniature scale so harness tests stay fast.
@@ -100,6 +102,46 @@ func TestModelTrainingAndDiskCache(t *testing.T) {
 	probe := ds.Train.Triples()[0]
 	if m1.Score(probe) != m2.Score(probe) {
 		t.Error("disk-cached model scores differ")
+	}
+}
+
+// TestModelCacheLogsUndecodableEntry checks that a cache file that exists
+// but does not decode is reported before the model is retrained over it,
+// and that a missing entry retrains without such a line.
+func TestModelCacheLogsUndecodableEntry(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testRunner(t).Cfg
+	cfg.CacheDir = dir
+	var log bytes.Buffer
+	cfg.Log = &log
+	r := NewRunner(cfg)
+	if _, err := r.Model(context.Background(), "wn18rr-sim", "distmult"); err != nil {
+		t.Fatalf("Model: %v", err)
+	}
+	if strings.Contains(log.String(), "unreadable") {
+		t.Fatalf("missing cache entry reported as unreadable:\n%s", log.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cache dir entries = %d (%v), want 1", len(entries), err)
+	}
+	path := filepath.Join(dir, entries[0].Name())
+	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log.Reset()
+	if _, err := NewRunner(cfg).Model(context.Background(), "wn18rr-sim", "distmult"); err != nil {
+		t.Fatalf("Model over a corrupt cache entry: %v", err)
+	}
+	out := log.String()
+	unreadable := strings.Index(out, "cache entry "+path+" unreadable")
+	trained := strings.Index(out, "trained in")
+	if unreadable < 0 || trained < unreadable {
+		t.Errorf("want the unreadable cache entry logged before retraining, got:\n%s", out)
+	}
+	if _, err := kge.LoadFile(path); err != nil {
+		t.Errorf("retrained model not written back over the corrupt entry: %v", err)
 	}
 }
 

@@ -54,6 +54,28 @@ type GroupTrainable interface {
 // nil is valid and makes every Buf call allocate fresh.
 type GroupScratch struct {
 	bufs [3][]float32
+	q    []float32 // the query vector a returned context points to
+}
+
+// queryCtx wraps a group's query vector as its GradContext: a pointer into
+// the scratch, valid until the scratch's next group, so returning it
+// allocates nothing (a slice stored in an interface would be boxed on every
+// call). Without a scratch it returns nil, and the gradient call rebuilds
+// the same q from the unchanged parameters.
+func (s *GroupScratch) queryCtx(q []float32) GradContext {
+	if s == nil {
+		return nil
+	}
+	s.q = q
+	return &s.q
+}
+
+// ctxQuery returns the query vector queryCtx wrapped, or nil.
+func ctxQuery(ctx GradContext) []float32 {
+	if p, ok := ctx.(*[]float32); ok {
+		return *p
+	}
+	return nil
 }
 
 // Buf returns slot i as a zeroed length-n buffer, growing it on demand.
@@ -116,7 +138,7 @@ func (m *DistMult) ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.E
 	checkGroup(objs, out)
 	q := vecmath.Hadamard(scr.Buf(0, m.cfg.Dim), m.ent.M.Row(int(s)), m.rel.M.Row(int(r)))
 	dotRows(out, m.ent, objs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradObjectsGroup implements GroupTrainable: ∂oᵢ = uᵢ·(s∘r),
@@ -129,7 +151,7 @@ func (m *DistMult) AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, ob
 	if !weightedRowSum(w, m.ent, objs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = vecmath.Hadamard(scr.Buf(0, m.cfg.Dim), sRow, rRow)
 	}
@@ -147,7 +169,7 @@ func (m *DistMult) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg
 	checkGroup(subjs, out)
 	q := vecmath.Hadamard(scr.Buf(0, m.cfg.Dim), m.rel.M.Row(int(r)), m.ent.M.Row(int(o)))
 	dotRows(out, m.ent, subjs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradSubjectsGroup implements GroupTrainable: ∂sᵢ = uᵢ·(r∘o) and
@@ -160,7 +182,7 @@ func (m *DistMult) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, s
 	if !weightedRowSum(w, m.ent, subjs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = vecmath.Hadamard(scr.Buf(0, m.cfg.Dim), rRow, oRow)
 	}
@@ -206,7 +228,7 @@ func (m *ComplEx) ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.En
 	checkGroup(objs, out)
 	q := m.objGroupQuery(scr.Buf(0, 2*m.cfg.Dim), s, r)
 	dotRows(out, m.ent, objs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradObjectsGroup implements GroupTrainable: ∂oᵢ = uᵢ·q and with
@@ -221,7 +243,7 @@ func (m *ComplEx) AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, obj
 	if !weightedRowSum(w, m.ent, objs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = m.objGroupQuery(scr.Buf(0, 2*d), s, r)
 	}
@@ -244,7 +266,7 @@ func (m *ComplEx) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.
 	checkGroup(subjs, out)
 	q := m.subjGroupQuery(scr.Buf(0, 2*m.cfg.Dim), r, o)
 	dotRows(out, m.ent, subjs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradSubjectsGroup implements GroupTrainable: ∂sᵢ = uᵢ·q and with
@@ -259,7 +281,7 @@ func (m *ComplEx) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, su
 	if !weightedRowSum(w, m.ent, subjs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = m.subjGroupQuery(scr.Buf(0, 2*d), r, o)
 	}
@@ -284,7 +306,7 @@ func (m *RESCAL) ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.Ent
 	checkGroup(objs, out)
 	q := m.wts(scr.Buf(0, m.cfg.Dim), r, m.ent.M.Row(int(s)))
 	dotRows(out, m.ent, objs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradObjectsGroup implements GroupTrainable: ∂oᵢ = uᵢ·Wᵣᵀs and
@@ -297,7 +319,7 @@ func (m *RESCAL) AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, objs
 	if !weightedRowSum(w, m.ent, objs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = m.wts(scr.Buf(0, d), r, sRow)
 	}
@@ -314,7 +336,7 @@ func (m *RESCAL) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.E
 	checkGroup(subjs, out)
 	q := m.wo(scr.Buf(0, m.cfg.Dim), r, m.ent.M.Row(int(o)))
 	dotRows(out, m.ent, subjs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradSubjectsGroup implements GroupTrainable: ∂sᵢ = uᵢ·Wᵣ·o and
@@ -327,7 +349,7 @@ func (m *RESCAL) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, sub
 	if !weightedRowSum(w, m.ent, subjs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = m.wo(scr.Buf(0, d), r, oRow)
 	}
@@ -346,7 +368,7 @@ func (m *HolE) ScoreObjectsGroup(s kg.EntityID, r kg.RelationID, objs []kg.Entit
 	checkGroup(objs, out)
 	q := fft.Convolve(scr.Buf(0, m.cfg.Dim), m.rel.M.Row(int(r)), m.ent.M.Row(int(s)))
 	dotRows(out, m.ent, objs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradObjectsGroup implements GroupTrainable: ∂oᵢ = uᵢ·(r*s) and
@@ -360,7 +382,7 @@ func (m *HolE) AccumulateGradObjectsGroup(s kg.EntityID, r kg.RelationID, objs [
 	if !weightedRowSum(w, m.ent, objs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = fft.Convolve(scr.Buf(0, d), rRow, sRow)
 	}
@@ -375,7 +397,7 @@ func (m *HolE) ScoreSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs []kg.Ent
 	checkGroup(subjs, out)
 	q := fft.CircularCorrelation(scr.Buf(0, m.cfg.Dim), m.rel.M.Row(int(r)), m.ent.M.Row(int(o)))
 	dotRows(out, m.ent, subjs, q)
-	return q
+	return scr.queryCtx(q)
 }
 
 // AccumulateGradSubjectsGroup implements GroupTrainable: ∂sᵢ = uᵢ·(r ⋆ o)
@@ -389,7 +411,7 @@ func (m *HolE) AccumulateGradSubjectsGroup(r kg.RelationID, o kg.EntityID, subjs
 	if !weightedRowSum(w, m.ent, subjs, upstream) {
 		return
 	}
-	q, _ := ctx.([]float32)
+	q := ctxQuery(ctx)
 	if q == nil {
 		q = fft.CircularCorrelation(scr.Buf(0, d), rRow, oRow)
 	}

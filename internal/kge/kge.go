@@ -73,7 +73,14 @@ type Trainable interface {
 type Param struct {
 	Name string
 	M    *vecmath.Matrix
+
+	index int
 }
+
+// Index returns p's position in its ParamSet's registration order. Gradient
+// buffers and optimizer state are slices indexed by it, so the per-row hot
+// paths never hash a parameter name.
+func (p *Param) Index() int { return p.index }
 
 // ParamSet is an ordered collection of parameter tables.
 type ParamSet struct {
@@ -93,7 +100,7 @@ func (ps *ParamSet) Add(name string, rows, cols int) *Param {
 	if _, dup := ps.byName[name]; dup {
 		panic(fmt.Sprintf("kge: duplicate parameter %q", name))
 	}
-	p := &Param{Name: name, M: vecmath.NewMatrix(rows, cols)}
+	p := &Param{Name: name, M: vecmath.NewMatrix(rows, cols), index: len(ps.list)}
 	ps.list = append(ps.list, p)
 	ps.byName[name] = p
 	return p
@@ -113,159 +120,6 @@ func (ps *ParamSet) NumScalars() int {
 		total += len(p.M.Data)
 	}
 	return total
-}
-
-// rowKey identifies one row of one parameter table.
-type rowKey struct {
-	param string
-	row   int
-}
-
-// GradBuffer accumulates sparse per-row gradients for one optimizer step.
-// It is not safe for concurrent use; the trainer shards batches across
-// goroutines each with its own buffer and merges them.
-type GradBuffer struct {
-	ps    *ParamSet
-	grads map[rowKey][]float32
-	dense map[string]*DenseGrad
-}
-
-// DenseGrad stores one parameter's gradient as a full Rows×Cols table plus a
-// touched bitmap instead of per-row map entries. Kernels that touch most
-// rows of a large table (KvsAll's entity backward sweeps every entity) opt
-// in via GradBuffer.Dense: a map insert per touched row becomes an array
-// index, and the accumulator is one pointer-free allocation instead of
-// thousands of GC-scanned slices. Untouched rows stay invisible to Len,
-// Merge, and ForEach, so the optimizer's sparse-row semantics are unchanged.
-type DenseGrad struct {
-	m       *vecmath.Matrix
-	touched []bool
-	n       int
-}
-
-// Row returns the dense accumulator for row, marking it touched.
-func (d *DenseGrad) Row(row int) []float32 {
-	if !d.touched[row] {
-		d.touched[row] = true
-		d.n++
-	}
-	return d.m.Row(row)
-}
-
-// NewGradBuffer returns an empty gradient buffer over ps.
-func NewGradBuffer(ps *ParamSet) *GradBuffer {
-	return &GradBuffer{ps: ps, grads: make(map[rowKey][]float32)}
-}
-
-// Dense switches param's accumulator to dense storage and returns it.
-// Rows already accumulated sparsely are folded in, so the switch is safe at
-// any point, and subsequent Row(param, ...) calls transparently resolve to
-// the dense table. The per-row float values and accumulation orders are
-// identical either way — Dense changes where gradients live, never what the
-// optimizer sees, so training digests do not depend on it.
-func (gb *GradBuffer) Dense(param string) *DenseGrad {
-	if d, ok := gb.dense[param]; ok {
-		return d
-	}
-	p := gb.ps.Get(param)
-	if p == nil {
-		panic(fmt.Sprintf("kge: unknown parameter %q", param))
-	}
-	d := &DenseGrad{
-		m:       vecmath.NewMatrix(p.M.Rows, p.M.Cols),
-		touched: make([]bool, p.M.Rows),
-	}
-	for k, g := range gb.grads {
-		if k.param == param {
-			copy(d.Row(k.row), g)
-			delete(gb.grads, k)
-		}
-	}
-	if gb.dense == nil {
-		gb.dense = make(map[string]*DenseGrad)
-	}
-	gb.dense[param] = d
-	return d
-}
-
-// Row returns the gradient accumulator for row `row` of parameter `param`,
-// creating a zeroed one on first use.
-func (gb *GradBuffer) Row(param string, row int) []float32 {
-	if d, ok := gb.dense[param]; ok {
-		return d.Row(row)
-	}
-	k := rowKey{param, row}
-	if g, ok := gb.grads[k]; ok {
-		return g
-	}
-	p := gb.ps.Get(param)
-	if p == nil {
-		panic(fmt.Sprintf("kge: unknown parameter %q", param))
-	}
-	g := make([]float32, p.M.Cols)
-	gb.grads[k] = g
-	return g
-}
-
-// Axpy adds alpha·x into the accumulator for (param, row).
-func (gb *GradBuffer) Axpy(param string, row int, alpha float32, x []float32) {
-	vecmath.Axpy(alpha, x, gb.Row(param, row))
-}
-
-// Len returns the number of distinct (param, row) entries touched.
-func (gb *GradBuffer) Len() int {
-	n := len(gb.grads)
-	for _, d := range gb.dense {
-		n += d.n
-	}
-	return n
-}
-
-// Reset clears all accumulated gradients, retaining allocations where
-// possible (map entries are zeroed and kept, dense tables unmarked).
-func (gb *GradBuffer) Reset() {
-	for _, g := range gb.grads {
-		for i := range g {
-			g[i] = 0
-		}
-	}
-	for _, d := range gb.dense {
-		clear(d.m.Data)
-		clear(d.touched)
-		d.n = 0
-	}
-}
-
-// Merge adds other's accumulated gradients into gb.
-func (gb *GradBuffer) Merge(other *GradBuffer) {
-	for name, od := range other.dense {
-		d := gb.Dense(name)
-		for row, t := range od.touched {
-			if t {
-				vecmath.Axpy(1, od.m.Row(row), d.Row(row))
-			}
-		}
-	}
-	for k, g := range other.grads {
-		vecmath.Axpy(1, g, gb.Row(k.param, k.row))
-	}
-}
-
-// ForEach visits every accumulated (param, row, grad) entry. Iteration order
-// is unspecified; optimizers must be order-independent (they are: per-row
-// updates commute).
-func (gb *GradBuffer) ForEach(fn func(param *Param, row int, grad []float32)) {
-	for name, d := range gb.dense {
-		p := gb.ps.Get(name)
-		for row, t := range d.touched {
-			if t {
-				fn(p, row, d.m.Row(row))
-			}
-		}
-	}
-	for k, g := range gb.grads {
-		fn(gb.ps.Get(k.param), k.row, g)
-	}
 }
 
 // Config carries the constructor arguments shared by all models plus

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/kg"
 	"repro/internal/kge"
@@ -77,60 +76,36 @@ func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Con
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := model.NumEntities()
 
-	var hist History
-	var best float64
-	var bestParams map[string][]float32
-	sinceBest := 0
-
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return hist, err
-		}
-		start := time.Now()
+	bufs := newChunkBuffers(model.Params(), cfg.BatchSize)
+	ws := make([]*kvsWorker, max(1, min(cfg.Workers, len(bufs))))
+	return runEpochs(ctx, model, cfg, len(contexts), "contexts/s", func() float64 {
 		rng.Shuffle(len(contexts), func(i, j int) { contexts[i], contexts[j] = contexts[j], contexts[i] })
-
-		var epochLoss float64
+		var loss float64
 		for lo := 0; lo < len(contexts); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(contexts) {
-				hi = len(contexts)
-			}
-			epochLoss += runKvsBatch(kvs, contexts[lo:hi], n, cfg, labelSmoothing)
+			hi := min(lo+cfg.BatchSize, len(contexts))
+			loss += runKvsBatch(kvs, contexts[lo:hi], n, cfg, labelSmoothing, bufs, ws)
 		}
-		epochLoss /= float64(len(contexts))
+		return loss
+	})
+}
 
-		stats := EpochStats{
-			Epoch: epoch, Loss: epochLoss, Duration: time.Since(start),
-			Examples: len(contexts),
-		}
-		if cfg.Validate != nil && epoch%cfg.EvalEvery == 0 {
-			metric := cfg.Validate(model)
-			stats.Validation = metric
-			if metric > best {
-				best = metric
-				sinceBest = 0
-				bestParams = snapshotParams(model, bestParams)
-			} else {
-				sinceBest++
-			}
-			if cfg.Patience > 0 && sinceBest >= cfg.Patience {
-				hist.Epochs = append(hist.Epochs, stats)
-				hist.Stopped = true
-				break
-			}
-		}
-		hist.Epochs = append(hist.Epochs, stats)
-		if cfg.Progress != nil {
-			cfg.Progress("epoch %3d  loss %.5f  valid %.4f  (%s, %.0f contexts/s)",
-				epoch, stats.Loss, stats.Validation,
-				stats.Duration.Round(time.Millisecond), stats.Throughput())
-		}
+// kvsWorker is one goroutine's KvsAll scratch, kept for the whole run: the
+// score and upstream tables are gradChunkSize×NumEntities (the scalar path
+// uses row 0 of each).
+type kvsWorker struct {
+	scores, upstream *vecmath.Matrix
+	ss               []kg.EntityID
+	rs               []kg.RelationID
+	positives        []int32
+}
+
+func newKvsWorker(n int) *kvsWorker {
+	return &kvsWorker{
+		scores:   vecmath.NewMatrix(gradChunkSize, n),
+		upstream: vecmath.NewMatrix(gradChunkSize, n),
+		ss:       make([]kg.EntityID, gradChunkSize),
+		rs:       make([]kg.RelationID, gradChunkSize),
 	}
-	hist.Best = best
-	if bestParams != nil {
-		restoreParams(model, bestParams)
-	}
-	return hist, nil
 }
 
 // runKvsBatch processes one batch of contexts (chunked across workers, same
@@ -141,7 +116,7 @@ func RunKvsAll(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Con
 // KvsAllBatchTrainable) scores a whole chunk as one query-matrix × entity-
 // table MatMat, runs the fused BCE loss/gradient kernel per context row, and
 // backprops the chunk with one AccumulateGradAllObjectsBatch call.
-func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Config, smoothing float32) float64 {
+func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Config, smoothing float32, bufs []*kge.GradBuffer, ws []*kvsWorker) float64 {
 	invBatch := 1 / float32(len(batch))
 	invN := 1 / float32(n)
 	// Multi-hot targets with label smoothing.
@@ -149,89 +124,69 @@ func runKvsBatch(model kge.KvsAllTrainable, batch []kvsContext, n int, cfg Confi
 	negLabel := smoothing * invN
 
 	bt, batched := model.(kge.KvsAllBatchTrainable)
-	if cfg.ScalarKernels {
-		batched = false
-	}
-	newWorker := func() func(chunk, lo, hi int) chunkResult {
-		scores := make([]float32, n)
-		upstream := make([]float32, n)
-		return func(chunk, lo, hi int) chunkResult {
-			gb := kge.NewGradBuffer(model.Params())
-			var loss float64
-			for _, c := range batch[lo:hi] {
-				model.ScoreAllObjects(c.s, c.r, scores)
-				var ctxLoss float64
-				pi := 0
-				for o := 0; o < n; o++ {
-					y := negLabel
-					// Two-pointer merge over the sorted object list replaces
-					// the per-context positives map; the float ops and their
-					// order are unchanged, so scalar digests are preserved.
-					if pi < len(c.objects) && c.objects[pi] == kg.EntityID(o) {
-						y = posLabel
-						for pi < len(c.objects) && c.objects[pi] == kg.EntityID(o) {
-							pi++
-						}
+	batched = batched && !cfg.ScalarKernels
+	scalar := func(w *kvsWorker, chunk []kvsContext, gb *kge.GradBuffer) float64 {
+		scores, upstream := w.scores.Row(0), w.upstream.Row(0)
+		var loss float64
+		for _, c := range chunk {
+			model.ScoreAllObjects(c.s, c.r, scores)
+			var ctxLoss float64
+			pi := 0
+			for o := 0; o < n; o++ {
+				y := negLabel
+				// Two-pointer merge over the sorted object list replaces the
+				// per-context positives map; the float ops and their order
+				// are unchanged, so scalar digests are preserved.
+				if pi < len(c.objects) && c.objects[pi] == kg.EntityID(o) {
+					y = posLabel
+					for pi < len(c.objects) && c.objects[pi] == kg.EntityID(o) {
+						pi++
 					}
-					p := vecmath.Sigmoid(scores[o])
-					// BCE loss and its gradient w.r.t. the raw score.
-					ctxLoss += bce(scores[o], y)
-					upstream[o] = (p - y) * invBatch * invN
 				}
-				loss += ctxLoss * float64(invN)
-				model.AccumulateGradAllObjects(c.s, c.r, upstream, gb)
+				p := vecmath.Sigmoid(scores[o])
+				// BCE loss and its gradient w.r.t. the raw score.
+				ctxLoss += bce(scores[o], y)
+				upstream[o] = (p - y) * invBatch * invN
 			}
-			return chunkResult{gb: gb, loss: loss}
+			loss += ctxLoss * float64(invN)
+			model.AccumulateGradAllObjects(c.s, c.r, upstream, gb)
 		}
+		return loss
 	}
-	phase := "kvsall/scalar"
+	gradScale := invBatch * invN
+	fused := func(w *kvsWorker, chunk []kvsContext, gb *kge.GradBuffer) float64 {
+		k := len(chunk)
+		for j, c := range chunk {
+			w.ss[j], w.rs[j] = c.s, c.r
+		}
+		scoresK := &vecmath.Matrix{Rows: k, Cols: n, Data: w.scores.Data[:k*n]}
+		upstreamK := &vecmath.Matrix{Rows: k, Cols: n, Data: w.upstream.Data[:k*n]}
+		bt.ScoreContextsBatch(w.ss[:k], w.rs[:k], scoresK)
+		var loss float64
+		for j, c := range chunk {
+			w.positives = w.positives[:0]
+			for _, o := range c.objects {
+				w.positives = append(w.positives, int32(o))
+			}
+			ctxLoss := vecmath.BCEFusedGrad(upstreamK.Row(j), scoresK.Row(j),
+				w.positives, posLabel, negLabel, gradScale)
+			loss += ctxLoss * float64(invN)
+		}
+		bt.AccumulateGradAllObjectsBatch(w.ss[:k], w.rs[:k], upstreamK, gb)
+		return loss
+	}
+	phase, do := "kvsall/scalar", scalar
 	if batched {
-		phase = "kvsall/batched"
-		gradScale := invBatch * invN
-		newWorker = func() func(chunk, lo, hi int) chunkResult {
-			scores := vecmath.NewMatrix(gradChunkSize, n)
-			upstream := vecmath.NewMatrix(gradChunkSize, n)
-			ss := make([]kg.EntityID, gradChunkSize)
-			rs := make([]kg.RelationID, gradChunkSize)
-			var positives []int32
-			return func(chunk, lo, hi int) chunkResult {
-				gb := kge.NewGradBuffer(model.Params())
-				k := hi - lo
-				for j, c := range batch[lo:hi] {
-					ss[j], rs[j] = c.s, c.r
-				}
-				scoresK := &vecmath.Matrix{Rows: k, Cols: n, Data: scores.Data[:k*n]}
-				upstreamK := &vecmath.Matrix{Rows: k, Cols: n, Data: upstream.Data[:k*n]}
-				bt.ScoreContextsBatch(ss[:k], rs[:k], scoresK)
-				var loss float64
-				for j, c := range batch[lo:hi] {
-					positives = positives[:0]
-					for _, o := range c.objects {
-						positives = append(positives, int32(o))
-					}
-					ctxLoss := vecmath.BCEFusedGrad(upstreamK.Row(j), scoresK.Row(j),
-						positives, posLabel, negLabel, gradScale)
-					loss += ctxLoss * float64(invN)
-				}
-				bt.AccumulateGradAllObjectsBatch(ss[:k], rs[:k], upstreamK, gb)
-				return chunkResult{gb: gb, loss: loss}
-			}
+		phase, do = "kvsall/batched", fused
+	}
+	merged, loss := runChunks(phase, len(batch), len(ws), bufs, func(w, _, lo, hi int, gb *kge.GradBuffer) float64 {
+		if ws[w] == nil {
+			ws[w] = newKvsWorker(n)
 		}
-	}
-	results := runChunks(phase, len(batch), cfg.Workers, newWorker)
-
-	merged, totalLoss := mergeChunks(results)
-	if merged == nil {
-		return 0
-	}
-	if cfg.L2 > 0 {
-		merged.ForEach(func(p *kge.Param, row int, grad []float32) {
-			vecmath.Axpy(cfg.L2, p.M.Row(row), grad)
-		})
-	}
-	cfg.Optimizer.Step(merged)
-	model.PostBatch()
-	return totalLoss
+		return do(ws[w], batch[lo:hi], gb)
+	})
+	step(model, merged, cfg)
+	return loss
 }
 
 // bce is the numerically stable binary cross-entropy on a raw score:

@@ -32,23 +32,27 @@ func (s *sgd) Step(gb *kge.GradBuffer) {
 
 // NewAdagrad returns Adagrad (Duchi et al., 2011) with learning rate lr.
 func NewAdagrad(lr float32) Optimizer {
-	return &adagrad{lr: lr, eps: 1e-8, accum: map[string][]float32{}}
+	return &adagrad{lr: lr, eps: 1e-8}
 }
 
 type adagrad struct {
 	lr    float32
 	eps   float32
-	accum map[string][]float32 // per parameter: squared-gradient accumulator
+	accum [][]float32 // by Param.Index: squared-gradient accumulator
 }
 
 func (a *adagrad) Name() string { return "adagrad" }
 
 func (a *adagrad) Step(gb *kge.GradBuffer) {
 	gb.ForEach(func(p *kge.Param, row int, grad []float32) {
-		acc, ok := a.accum[p.Name]
-		if !ok {
+		pi := p.Index()
+		for len(a.accum) <= pi {
+			a.accum = append(a.accum, nil)
+		}
+		acc := a.accum[pi]
+		if acc == nil {
 			acc = make([]float32, len(p.M.Data))
-			a.accum[p.Name] = acc
+			a.accum[pi] = acc
 		}
 		w := p.M.Row(row)
 		base := row * p.M.Cols
@@ -64,36 +68,60 @@ func (a *adagrad) Step(gb *kge.GradBuffer) {
 // uses for all models. Bias correction is tracked per row, which is the
 // correct "lazy Adam" treatment for sparsely updated embedding tables.
 func NewAdam(lr float32) Optimizer {
-	return &adam{
-		lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8,
-		m: map[string][]float32{}, v: map[string][]float32{}, t: map[string][]int32{},
-	}
+	return &adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
 type adam struct {
 	lr, beta1, beta2, eps float32
 
-	m map[string][]float32 // first-moment estimates
-	v map[string][]float32 // second-moment estimates
-	t map[string][]int32   // per-row step counts for bias correction
+	state []*adamState // by Param.Index
+	// c1[t-1] and c2[t-1] cache the bias corrections 1-β₁ᵗ and 1-β₂ᵗ.
+	c1, c2 []float32
+}
+
+type adamState struct {
+	m, v []float32 // first- and second-moment estimates
+	t    []int32   // per-row step counts for bias correction
 }
 
 func (a *adam) Name() string { return "adam" }
 
+// param returns p's state, creating it on first use.
+func (a *adam) param(p *kge.Param) *adamState {
+	i := p.Index()
+	for len(a.state) <= i {
+		a.state = append(a.state, nil)
+	}
+	st := a.state[i]
+	if st == nil {
+		st = &adamState{
+			m: make([]float32, len(p.M.Data)),
+			v: make([]float32, len(p.M.Data)),
+			t: make([]int32, p.M.Rows),
+		}
+		a.state[i] = st
+	}
+	return st
+}
+
+// corrections returns the bias corrections for step count t. Each is
+// computed once per t with the same expression a per-row computation would
+// use, so the cached values are bit-identical to it.
+func (a *adam) corrections(t int32) (c1, c2 float32) {
+	for int(t) > len(a.c1) {
+		n := float64(len(a.c1) + 1)
+		a.c1 = append(a.c1, float32(1-math.Pow(float64(a.beta1), n)))
+		a.c2 = append(a.c2, float32(1-math.Pow(float64(a.beta2), n)))
+	}
+	return a.c1[t-1], a.c2[t-1]
+}
+
 func (a *adam) Step(gb *kge.GradBuffer) {
 	gb.ForEach(func(p *kge.Param, row int, grad []float32) {
-		m, ok := a.m[p.Name]
-		if !ok {
-			m = make([]float32, len(p.M.Data))
-			a.m[p.Name] = m
-			a.v[p.Name] = make([]float32, len(p.M.Data))
-			a.t[p.Name] = make([]int32, p.M.Rows)
-		}
-		v := a.v[p.Name]
-		a.t[p.Name][row]++
-		t := float64(a.t[p.Name][row])
-		c1 := float32(1 - math.Pow(float64(a.beta1), t))
-		c2 := float32(1 - math.Pow(float64(a.beta2), t))
+		st := a.param(p)
+		st.t[row]++
+		c1, c2 := a.corrections(st.t[row])
+		m, v := st.m, st.v
 
 		w := p.M.Row(row)
 		base := row * p.M.Cols

@@ -146,36 +146,39 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 		sampler.FitBernoulli(ds.Train)
 	}
 
+	bufs := newChunkBuffers(model.Params(), cfg.BatchSize)
+	ws := make([]*negWorker, max(1, min(cfg.Workers, len(bufs))))
+	return runEpochs(ctx, model, cfg, len(triples), "triples/s", func() float64 {
+		rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
+		var loss float64
+		for lo := 0; lo < len(triples); lo += cfg.BatchSize {
+			hi := min(lo+cfg.BatchSize, len(triples))
+			loss += runBatch(model, triples[lo:hi], sampler, cfg, rng.Int63(), bufs, ws)
+		}
+		return loss
+	})
+}
+
+// runEpochs is the epoch loop both objectives share. epoch makes one pass
+// over the n examples and returns their summed loss; runEpochs times it,
+// validates every EvalEvery epochs, stops early, reports progress (unit
+// names the throughput) and restores the best validated parameters.
+func runEpochs(ctx context.Context, model kge.Trainable, cfg Config, n int, unit string, epoch func() float64) (History, error) {
 	var hist History
 	var best float64
 	var bestParams map[string][]float32
 	sinceBest := 0
 
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
+	for e := 1; e <= cfg.Epochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return hist, err
 		}
 		start := time.Now()
-		rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
+		loss := epoch() / float64(n)
+		stats := EpochStats{Epoch: e, Loss: loss, Duration: time.Since(start), Examples: n}
 
-		var epochLoss float64
-		for lo := 0; lo < len(triples); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(triples) {
-				hi = len(triples)
-			}
-			batch := triples[lo:hi]
-			loss := runBatch(model, batch, sampler, cfg, rng.Int63())
-			epochLoss += loss
-		}
-		epochLoss /= float64(len(triples))
-
-		stats := EpochStats{
-			Epoch: epoch, Loss: epochLoss, Duration: time.Since(start),
-			Examples: len(triples),
-		}
-
-		if cfg.Validate != nil && epoch%cfg.EvalEvery == 0 {
+		validated := cfg.Validate != nil && e%cfg.EvalEvery == 0
+		if validated {
 			metric := cfg.Validate(model)
 			stats.Validation = metric
 			if metric > best {
@@ -185,17 +188,20 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 			} else {
 				sinceBest++
 			}
-			if cfg.Patience > 0 && sinceBest >= cfg.Patience {
-				hist.Epochs = append(hist.Epochs, stats)
-				hist.Stopped = true
-				break
-			}
+			hist.Stopped = cfg.Patience > 0 && sinceBest >= cfg.Patience
 		}
 		hist.Epochs = append(hist.Epochs, stats)
 		if cfg.Progress != nil {
-			cfg.Progress("epoch %3d  loss %.5f  valid %.4f  (%s, %.0f triples/s)",
-				epoch, stats.Loss, stats.Validation,
-				stats.Duration.Round(time.Millisecond), stats.Throughput())
+			// The validation column appears only for epochs that measured it.
+			valid := ""
+			if validated {
+				valid = fmt.Sprintf("  valid %.4f", stats.Validation)
+			}
+			cfg.Progress("epoch %3d  loss %.5f%s  (%s, %.0f %s)",
+				e, stats.Loss, valid, stats.Duration.Round(time.Millisecond), stats.Throughput(), unit)
+		}
+		if hist.Stopped {
+			break
 		}
 	}
 	hist.Best = best
@@ -215,10 +221,17 @@ func Run(ctx context.Context, model kge.Trainable, ds *kg.Dataset, cfg Config) (
 // worker count.
 const gradChunkSize = 16
 
-// chunkResult is one chunk's accumulated gradients and summed loss.
-type chunkResult struct {
-	gb   *kge.GradBuffer
-	loss float64
+// newChunkBuffers returns one GradBuffer per chunk slot of a full batch. A
+// run allocates them once and every batch resets and refills the same
+// buffers, so steady-state training allocates no gradient storage, and the
+// memory a run holds for gradients is bounded by ⌈batchSize/gradChunkSize⌉
+// buffers, each at most the rows its slot has ever touched.
+func newChunkBuffers(ps *kge.ParamSet, batchSize int) []*kge.GradBuffer {
+	bufs := make([]*kge.GradBuffer, (batchSize+gradChunkSize-1)/gradChunkSize)
+	for i := range bufs {
+		bufs[i] = kge.NewGradBuffer(ps)
+	}
+	return bufs
 }
 
 // splitmix64 is a tiny deterministic rand.Source64 used for per-chunk
@@ -238,31 +251,19 @@ func (s *splitmix64) Uint64() uint64 {
 func (s *splitmix64) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *splitmix64) Seed(seed int64) { *s = splitmix64(seed) }
 
-// chunkRNG returns the deterministic generator for one chunk, its stream a
-// pure function of (batchSeed, chunkIndex) and decorrelated from
-// neighboring chunks by the splitmix64 golden-ratio increment.
-func chunkRNG(src *splitmix64, batchSeed int64, chunk int) *rand.Rand {
-	*src = splitmix64(uint64(batchSeed) + uint64(chunk+1)*0x9E3779B97F4A7C15)
-	return rand.New(src)
-}
-
 // runChunks splits n examples into fixed-size chunks and processes them on
 // up to `workers` goroutines pulling chunk indices from a shared counter.
-// newWorker runs once per goroutine and returns the per-chunk closure,
-// letting workers reuse scratch buffers across the chunks they pull. Each
-// chunk writes into its own result slot, so callers can reduce the returned
-// slice in a worker-count-independent order.
+// Chunk c accumulates into bufs[c], reset first; do also receives its
+// goroutine's index w < workers, so callers can keep per-goroutine scratch
+// across batches. The buffers then merge into bufs[0] in ascending chunk
+// order, which keeps the per-row addition sequence identical to a serial
+// pass over the chunks. It returns the merged buffer and the summed loss.
 // The phase string labels the workers' CPU-profile samples (prof.Do), so
 // profiles split by hot path, e.g. "negsample/batched" vs "kvsall/scalar".
-func runChunks(phase string, n, workers int, newWorker func() func(chunk, lo, hi int) chunkResult) []chunkResult {
+func runChunks(phase string, n, workers int, bufs []*kge.GradBuffer, do func(w, chunk, lo, hi int, gb *kge.GradBuffer) float64) (*kge.GradBuffer, float64) {
 	chunks := (n + gradChunkSize - 1) / gradChunkSize
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]chunkResult, chunks)
+	workers = max(1, min(workers, chunks))
+	losses := make([]float64, chunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -270,48 +271,45 @@ func runChunks(phase string, n, workers int, newWorker func() func(chunk, lo, hi
 		go func() {
 			defer wg.Done()
 			prof.Do(phase, func() {
-				do := newWorker()
 				for {
 					c := int(next.Add(1)) - 1
 					if c >= chunks {
 						return
 					}
-					lo, hi := c*gradChunkSize, (c+1)*gradChunkSize
-					if hi > n {
-						hi = n
-					}
-					results[c] = do(c, lo, hi)
+					lo, hi := c*gradChunkSize, min((c+1)*gradChunkSize, n)
+					bufs[c].Reset()
+					losses[c] = do(w, c, lo, hi, bufs[c])
 				}
 			})
 		}()
 	}
 	wg.Wait()
-	return results
-}
-
-// mergeChunks folds per-chunk gradients and losses in ascending chunk
-// order. Merging into the first chunk's buffer keeps the per-row addition
-// sequence identical to a serial pass over the chunks.
-func mergeChunks(results []chunkResult) (*kge.GradBuffer, float64) {
-	var merged *kge.GradBuffer
 	var loss float64
-	for _, r := range results {
-		if r.gb == nil {
-			continue
-		}
-		loss += r.loss
-		if merged == nil {
-			merged = r.gb
-		} else {
-			merged.Merge(r.gb)
+	for c, l := range losses {
+		loss += l
+		if c > 0 {
+			bufs[0].Merge(bufs[c])
 		}
 	}
-	return merged, loss
+	return bufs[0], loss
+}
+
+// step applies L2 regularization to the rows a batch touched and takes one
+// optimizer step.
+func step(model kge.Trainable, gb *kge.GradBuffer, cfg Config) {
+	if cfg.L2 > 0 {
+		gb.ForEach(func(p *kge.Param, row int, grad []float32) {
+			vecmath.Axpy(cfg.L2, p.M.Row(row), grad)
+		})
+	}
+	cfg.Optimizer.Step(gb)
+	model.PostBatch()
 }
 
 // runBatch computes gradients for one batch (chunked across workers),
 // applies L2 regularization on touched rows, and takes one optimizer step.
-// It returns the summed loss over the batch.
+// It returns the summed loss over the batch. ws holds the run's
+// per-goroutine scratch, created on first use.
 //
 // The batched path (ScalarKernels false, model implements GroupTrainable)
 // gathers each positive's candidates into at most two groups — the (s, r)
@@ -321,130 +319,149 @@ func mergeChunks(results []chunkResult) (*kge.GradBuffer, float64) {
 // in batch order) and the per-triple loss evaluation are identical to the
 // scalar path, so the negative draws and reported losses match; only the
 // float accumulation order inside a group differs.
-func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64) float64 {
+func runBatch(model kge.Trainable, batch []kg.Triple, sampler *NegativeSampler, cfg Config, seed int64, bufs []*kge.GradBuffer, ws []*negWorker) float64 {
 	invBatch := 1 / float32(len(batch))
 	gt, grouped := model.(kge.GroupTrainable)
-	if cfg.ScalarKernels {
-		grouped = false
-	}
-	newWorker := func() func(chunk, lo, hi int) chunkResult {
-		negs := make([]kg.Triple, 0, cfg.NegSamples)
-		negScores := make([]float32, cfg.NegSamples)
-		gradNegs := make([]float32, cfg.NegSamples)
-		negCtxs := make([]kge.GradContext, cfg.NegSamples)
-		var src splitmix64
-		return func(chunk, lo, hi int) chunkResult {
-			gb := kge.NewGradBuffer(model.Params())
-			rng := chunkRNG(&src, seed, chunk)
-			var loss float64
-			for _, pos := range batch[lo:hi] {
-				posScore, posCtx := model.ScoreWithContext(pos)
-				negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
-				for i, n := range negs {
-					negScores[i], negCtxs[i] = model.ScoreWithContext(n)
-				}
-				var gradPos float32
-				loss += float64(cfg.Loss.Eval(posScore, negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
-				if gradPos != 0 {
-					model.AccumulateGrad(pos, posCtx, gradPos*invBatch, gb)
-				}
-				for i, n := range negs {
-					if gradNegs[i] != 0 {
-						model.AccumulateGrad(n, negCtxs[i], gradNegs[i]*invBatch, gb)
-					}
-				}
-			}
-			return chunkResult{gb: gb, loss: loss}
-		}
-	}
+	grouped = grouped && !cfg.ScalarKernels
 	phase := "negsample/scalar"
 	if grouped {
 		phase = "negsample/batched"
-		newWorker = func() func(chunk, lo, hi int) chunkResult {
-			negs := make([]kg.Triple, 0, cfg.NegSamples)
-			negScores := make([]float32, cfg.NegSamples)
-			gradNegs := make([]float32, cfg.NegSamples)
-			// Group scratch: objs[0] is always the positive object; the slot
-			// arrays map draw order i -> position in its side's group.
-			objs := make([]kg.EntityID, 0, 1+cfg.NegSamples)
-			subjs := make([]kg.EntityID, 0, cfg.NegSamples)
-			objSlot := make([]int, cfg.NegSamples)
-			subjSlot := make([]int, cfg.NegSamples)
-			objScores := make([]float32, 1+cfg.NegSamples)
-			subjScores := make([]float32, cfg.NegSamples)
-			objUp := make([]float32, 1+cfg.NegSamples)
-			subjUp := make([]float32, cfg.NegSamples)
-			// One scratch per side: a group's ctx may alias its scratch, and
-			// both groups' ctxs are alive between scoring and backprop.
-			var objScr, subjScr kge.GroupScratch
-			var src splitmix64
-			return func(chunk, lo, hi int) chunkResult {
-				gb := kge.NewGradBuffer(model.Params())
-				rng := chunkRNG(&src, seed, chunk)
-				var loss float64
-				for _, pos := range batch[lo:hi] {
-					negs = sampler.CorruptN(negs, pos, cfg.NegSamples, rng)
-					objs = append(objs[:0], pos.O)
-					subjs = subjs[:0]
-					for i, n := range negs {
-						// Corrupt guarantees the corrupted entity differs from
-						// the original, so n.O != pos.O iff the object side
-						// was corrupted — unambiguous even for self-loops.
-						if n.O != pos.O {
-							objSlot[i] = len(objs)
-							objs = append(objs, n.O)
-						} else {
-							objSlot[i] = -1
-							subjSlot[i] = len(subjs)
-							subjs = append(subjs, n.S)
-						}
-					}
-					objCtx := gt.ScoreObjectsGroup(pos.S, pos.R, objs, objScores[:len(objs)], &objScr)
-					var subjCtx kge.GradContext
-					if len(subjs) > 0 {
-						subjCtx = gt.ScoreSubjectsGroup(pos.R, pos.O, subjs, subjScores[:len(subjs)], &subjScr)
-					}
-					for i := range negs {
-						if s := objSlot[i]; s >= 0 {
-							negScores[i] = objScores[s]
-						} else {
-							negScores[i] = subjScores[subjSlot[i]]
-						}
-					}
-					var gradPos float32
-					loss += float64(cfg.Loss.Eval(objScores[0], negScores[:len(negs)], &gradPos, gradNegs[:len(negs)]))
-					objUp[0] = gradPos * invBatch
-					for i := range negs {
-						if s := objSlot[i]; s >= 0 {
-							objUp[s] = gradNegs[i] * invBatch
-						} else {
-							subjUp[subjSlot[i]] = gradNegs[i] * invBatch
-						}
-					}
-					gt.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objCtx, objUp[:len(objs)], gb, &objScr)
-					if len(subjs) > 0 {
-						gt.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjCtx, subjUp[:len(subjs)], gb, &subjScr)
-					}
-				}
-				return chunkResult{gb: gb, loss: loss}
+	}
+	merged, loss := runChunks(phase, len(batch), len(ws), bufs, func(w, chunk, lo, hi int, gb *kge.GradBuffer) float64 {
+		if ws[w] == nil {
+			ws[w] = newNegWorker(cfg.NegSamples)
+		}
+		nw := ws[w]
+		nw.reseed(seed, chunk)
+		if grouped {
+			return nw.groupedChunk(gt, batch[lo:hi], sampler, cfg, invBatch, gb)
+		}
+		return nw.scalarChunk(model, batch[lo:hi], sampler, cfg, invBatch, gb)
+	})
+	step(model, merged, cfg)
+	return loss
+}
+
+// negWorker is one goroutine's negative-sampling scratch. A run keeps one
+// per goroutine, so no chunk allocates.
+type negWorker struct {
+	negs      []kg.Triple
+	negScores []float32
+	gradNegs  []float32
+	gradPos   float32           // a field, so passing &gradPos to Loss.Eval does not allocate
+	negCtxs   []kge.GradContext // scalar path only
+	// Group scratch: objs[0] is always the positive object; the slot arrays
+	// map draw order i -> position in its side's group.
+	objs, subjs           []kg.EntityID
+	objSlot, subjSlot     []int
+	objScores, subjScores []float32
+	objUp, subjUp         []float32
+	// One scratch per side: a group's ctx may alias its scratch, and both
+	// groups' ctxs are alive between scoring and backprop.
+	objScr, subjScr kge.GroupScratch
+	src             splitmix64
+	rng             *rand.Rand
+}
+
+func newNegWorker(negSamples int) *negWorker {
+	w := &negWorker{
+		negs:       make([]kg.Triple, 0, negSamples),
+		negScores:  make([]float32, negSamples),
+		gradNegs:   make([]float32, negSamples),
+		negCtxs:    make([]kge.GradContext, negSamples),
+		objs:       make([]kg.EntityID, 0, 1+negSamples),
+		subjs:      make([]kg.EntityID, 0, negSamples),
+		objSlot:    make([]int, negSamples),
+		subjSlot:   make([]int, negSamples),
+		objScores:  make([]float32, 1+negSamples),
+		subjScores: make([]float32, negSamples),
+		objUp:      make([]float32, 1+negSamples),
+		subjUp:     make([]float32, negSamples),
+	}
+	w.rng = rand.New(&w.src)
+	return w
+}
+
+// reseed points the worker's generator at one chunk's stream, a pure
+// function of (batchSeed, chunkIndex) decorrelated from neighboring chunks
+// by the splitmix64 golden-ratio increment. rand.Rand keeps no state of its
+// own outside Read, so reusing it is the same as a fresh rand.New.
+func (w *negWorker) reseed(batchSeed int64, chunk int) {
+	w.src = splitmix64(uint64(batchSeed) + uint64(chunk+1)*0x9E3779B97F4A7C15)
+}
+
+// scalarChunk scores and backprops one chunk a triple at a time.
+func (w *negWorker) scalarChunk(model kge.Trainable, chunk []kg.Triple, sampler *NegativeSampler, cfg Config, invBatch float32, gb *kge.GradBuffer) float64 {
+	var loss float64
+	for _, pos := range chunk {
+		posScore, posCtx := model.ScoreWithContext(pos)
+		w.negs = sampler.CorruptN(w.negs, pos, cfg.NegSamples, w.rng)
+		for i, n := range w.negs {
+			w.negScores[i], w.negCtxs[i] = model.ScoreWithContext(n)
+		}
+		k := len(w.negs)
+		loss += float64(cfg.Loss.Eval(posScore, w.negScores[:k], &w.gradPos, w.gradNegs[:k]))
+		if w.gradPos != 0 {
+			model.AccumulateGrad(pos, posCtx, w.gradPos*invBatch, gb)
+		}
+		for i, n := range w.negs {
+			if w.gradNegs[i] != 0 {
+				model.AccumulateGrad(n, w.negCtxs[i], w.gradNegs[i]*invBatch, gb)
 			}
 		}
 	}
-	results := runChunks(phase, len(batch), cfg.Workers, newWorker)
+	return loss
+}
 
-	merged, totalLoss := mergeChunks(results)
-	if merged == nil {
-		return 0
+// groupedChunk scores and backprops one chunk through GroupTrainable sweeps.
+func (w *negWorker) groupedChunk(gt kge.GroupTrainable, chunk []kg.Triple, sampler *NegativeSampler, cfg Config, invBatch float32, gb *kge.GradBuffer) float64 {
+	var loss float64
+	for _, pos := range chunk {
+		w.negs = sampler.CorruptN(w.negs, pos, cfg.NegSamples, w.rng)
+		negs := w.negs
+		w.objs = append(w.objs[:0], pos.O)
+		w.subjs = w.subjs[:0]
+		for i, n := range negs {
+			// Corrupt guarantees the corrupted entity differs from the
+			// original, so n.O != pos.O iff the object side was corrupted —
+			// unambiguous even for self-loops.
+			if n.O != pos.O {
+				w.objSlot[i] = len(w.objs)
+				w.objs = append(w.objs, n.O)
+			} else {
+				w.objSlot[i] = -1
+				w.subjSlot[i] = len(w.subjs)
+				w.subjs = append(w.subjs, n.S)
+			}
+		}
+		objs, subjs := w.objs, w.subjs
+		objCtx := gt.ScoreObjectsGroup(pos.S, pos.R, objs, w.objScores[:len(objs)], &w.objScr)
+		var subjCtx kge.GradContext
+		if len(subjs) > 0 {
+			subjCtx = gt.ScoreSubjectsGroup(pos.R, pos.O, subjs, w.subjScores[:len(subjs)], &w.subjScr)
+		}
+		for i := range negs {
+			if s := w.objSlot[i]; s >= 0 {
+				w.negScores[i] = w.objScores[s]
+			} else {
+				w.negScores[i] = w.subjScores[w.subjSlot[i]]
+			}
+		}
+		loss += float64(cfg.Loss.Eval(w.objScores[0], w.negScores[:len(negs)], &w.gradPos, w.gradNegs[:len(negs)]))
+		w.objUp[0] = w.gradPos * invBatch
+		for i := range negs {
+			if s := w.objSlot[i]; s >= 0 {
+				w.objUp[s] = w.gradNegs[i] * invBatch
+			} else {
+				w.subjUp[w.subjSlot[i]] = w.gradNegs[i] * invBatch
+			}
+		}
+		gt.AccumulateGradObjectsGroup(pos.S, pos.R, objs, objCtx, w.objUp[:len(objs)], gb, &w.objScr)
+		if len(subjs) > 0 {
+			gt.AccumulateGradSubjectsGroup(pos.R, pos.O, subjs, subjCtx, w.subjUp[:len(subjs)], gb, &w.subjScr)
+		}
 	}
-
-	if cfg.L2 > 0 {
-		merged.ForEach(func(p *kge.Param, row int, grad []float32) {
-			vecmath.Axpy(cfg.L2, p.M.Row(row), grad)
-		})
-	}
-	cfg.Optimizer.Step(merged)
-	model.PostBatch()
-	return totalLoss
+	return loss
 }
 
 // snapshotParams copies the model's parameters, reusing prev's buffers when

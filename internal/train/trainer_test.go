@@ -2,6 +2,8 @@ package train
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -225,5 +227,79 @@ func TestTrainingDeterministicSingleWorker(t *testing.T) {
 	}
 	if a, b := score(), score(); a != b {
 		t.Errorf("single-worker training not deterministic: %g vs %g", a, b)
+	}
+}
+
+// TestProgressPrintsOnlyMeasuredValidation checks that the progress line
+// carries a validation column exactly on the epochs Validate ran, under
+// both objectives; an epoch without validation must not print a 0.
+func TestProgressPrintsOnlyMeasuredValidation(t *testing.T) {
+	ds := tinyDataset(t)
+	objectives := map[string]func(kge.Trainable, Config) error{
+		"negsample": func(m kge.Trainable, cfg Config) error {
+			_, err := Run(context.Background(), m, ds, cfg)
+			return err
+		},
+		"kvsall": func(m kge.Trainable, cfg Config) error {
+			_, err := RunKvsAll(context.Background(), m, ds, cfg, 0)
+			return err
+		},
+	}
+	for name, run := range objectives {
+		for _, validate := range []bool{false, true} {
+			var lines []string
+			cfg := Config{
+				Epochs: 4, BatchSize: 64, NegSamples: 2, Seed: 3, EvalEvery: 2,
+				Progress: func(format string, args ...any) {
+					lines = append(lines, fmt.Sprintf(format, args...))
+				},
+			}
+			if validate {
+				cfg.Validate = func(kge.Model) float64 { return 0.25 }
+			}
+			if err := run(determinismModel(t, "distmult", ds), cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(lines) != cfg.Epochs {
+				t.Fatalf("%s validate=%v: %d progress lines, want %d", name, validate, len(lines), cfg.Epochs)
+			}
+			for i, line := range lines {
+				measured := validate && (i+1)%cfg.EvalEvery == 0
+				if got := strings.Contains(line, "valid 0.2500"); got != measured {
+					t.Errorf("%s validate=%v epoch %d: %q (validation column %v, want %v)",
+						name, validate, i+1, line, got, measured)
+				}
+				if !measured && strings.Contains(line, "valid") {
+					t.Errorf("%s validate=%v epoch %d: unmeasured validation printed: %q", name, validate, i+1, line)
+				}
+			}
+		}
+	}
+}
+
+// TestProgressPrintsStoppingEpoch checks that the epoch whose validation
+// triggers early stopping gets its progress line like any other.
+func TestProgressPrintsStoppingEpoch(t *testing.T) {
+	ds := tinyDataset(t)
+	var lines []string
+	metric := 1.0
+	hist, err := Run(context.Background(), determinismModel(t, "distmult", ds), ds, Config{
+		Epochs: 10, BatchSize: 64, NegSamples: 2, Seed: 3, EvalEvery: 1, Patience: 1,
+		Validate: func(kge.Model) float64 { metric /= 2; return metric },
+		Progress: func(format string, args ...any) {
+			lines = append(lines, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hist.Stopped || len(hist.Epochs) != 2 {
+		t.Fatalf("stopped %v after %d epochs, want early stop after 2", hist.Stopped, len(hist.Epochs))
+	}
+	if len(lines) != len(hist.Epochs) {
+		t.Fatalf("%d progress lines for %d epochs: %q", len(lines), len(hist.Epochs), lines)
+	}
+	if !strings.Contains(lines[1], "valid 0.2500") {
+		t.Errorf("stopping epoch line %q lacks its validation", lines[1])
 	}
 }
